@@ -152,4 +152,15 @@ class Rng {
   double spare_ = 0.0;
 };
 
+/// Independent deterministic stream for a (seed, a, b) triple, usually
+/// (seed, entity, slot).  The emulator, the federation, the serving daemon
+/// and the load generator draw all per-entity-per-slot randomness from such
+/// streams, so paired runs with different schedulers see the same world
+/// and results do not depend on thread count, server layout or socket
+/// interleaving.
+inline Rng derived_rng(std::uint64_t seed, std::uint64_t a, std::uint64_t b) {
+  return Rng(seed ^ (a + 1) * 0x9E3779B97F4A7C15ULL ^
+             (b + 1) * 0xC2B2AE3D27D4EB4FULL);
+}
+
 }  // namespace lpvs::common

@@ -1,22 +1,18 @@
 // SlotProblemConfig: the one type that parameterizes slot-problem assembly.
 //
-// Four subsystems build core::SlotProblem instances from the same knobs —
-// the emulator (one virtual cluster), the city replay (many), the fleet
+// One assembler (core/slot_assembly.hpp) builds every slot's content and
+// chunk prices from these knobs, for three callers: the emulator (one
+// virtual cluster, and through it the city replay's many), the fleet
 // federation (per edge server), and the serving daemon (per connected
-// cluster).  Each used to carry its own copy of the fields, so a default
-// changed in one could silently drift from the others and the daemon's
-// inline duplicates ("kept inline here so the daemon has no emu dep") were
-// the worst offender.  This struct is the single source: emu::ClusterParams
-// derives from it, server::ServerConfig embeds it, and the per-subsystem
-// configs only override defaults in their constructors.
+// cluster).  Each caller used to carry its own copy of the fields, so a
+// default changed in one could silently drift from the others.  This
+// struct is the single source: emu::ClusterParams derives from it,
+// server::ServerConfig embeds it, and the per-subsystem configs only
+// override defaults in their constructors.
 //
 // The load generator never assembles slot problems itself — it receives the
 // scheduler's decisions over the wire — so it consumes this type only
 // indirectly, through the daemon it drives.
-//
-// Fluent `with_*` builders mirror core::RunContext: each returns an updated
-// copy, so call sites can assemble a config in one expression without
-// mutating a shared instance.
 #pragma once
 
 #include <cstdint>
@@ -56,52 +52,6 @@ struct SlotProblemConfig {
   /// assignments are not, so the engine is part of the solve-budget
   /// fingerprint (solver::budget_fingerprint).
   solver::LpEngine lp_engine = solver::LpEngine::kRevised;
-
-  SlotProblemConfig with_compute_capacity(double v) const {
-    SlotProblemConfig c = *this;
-    c.compute_capacity = v;
-    return c;
-  }
-  SlotProblemConfig with_storage_capacity_mb(double v) const {
-    SlotProblemConfig c = *this;
-    c.storage_capacity_mb = v;
-    return c;
-  }
-  SlotProblemConfig with_lambda(double v) const {
-    SlotProblemConfig c = *this;
-    c.lambda = v;
-    return c;
-  }
-  SlotProblemConfig with_chunks_per_slot(int v) const {
-    SlotProblemConfig c = *this;
-    c.chunks_per_slot = v;
-    return c;
-  }
-  SlotProblemConfig with_chunk_seconds(double v) const {
-    SlotProblemConfig c = *this;
-    c.chunk_seconds = v;
-    return c;
-  }
-  SlotProblemConfig with_effective_capacity_scale(double v) const {
-    SlotProblemConfig c = *this;
-    c.effective_capacity_scale = v;
-    return c;
-  }
-  SlotProblemConfig with_seed(std::uint64_t v) const {
-    SlotProblemConfig c = *this;
-    c.seed = v;
-    return c;
-  }
-  SlotProblemConfig with_warm_start(bool v) const {
-    SlotProblemConfig c = *this;
-    c.warm_start = v;
-    return c;
-  }
-  SlotProblemConfig with_lp_engine(solver::LpEngine v) const {
-    SlotProblemConfig c = *this;
-    c.lp_engine = v;
-    return c;
-  }
 };
 
 }  // namespace lpvs::core

@@ -6,20 +6,17 @@
 #include <cmath>
 
 #include "lpvs/core/signaling.hpp"
+#include "lpvs/core/slot_assembly.hpp"
 #include "lpvs/solver/solve_cache.hpp"
 
 namespace lpvs::emu {
 namespace {
 
-/// Independent deterministic stream for a (seed, device, slot) triple.
 /// All per-device-per-slot randomness (content, prefetch window, gamma
-/// observation noise) comes from such streams so that paired runs with
+/// observation noise) comes from derived streams so that paired runs with
 /// different schedulers see byte-identical worlds even when devices drop
 /// out at different times.
-common::Rng derived_rng(std::uint64_t seed, std::uint64_t a, std::uint64_t b) {
-  return common::Rng(seed ^ (a + 1) * 0x9E3779B97F4A7C15ULL ^
-                     (b + 1) * 0xC2B2AE3D27D4EB4FULL);
-}
+using common::derived_rng;
 
 constexpr double kBitrateLadder[] = {1.8, 2.5, 3.5, 5.0};
 
@@ -42,8 +39,7 @@ Emulator::Emulator(EmulatorConfig config, const core::Scheduler& scheduler,
                    core::RunContext context)
     : config_(config),
       scheduler_(scheduler),
-      context_(context),
-      rng_(config.seed) {
+      context_(context) {
   assert(config_.group_size > 0);
   assert(config_.slots > 0);
   assert(config_.chunks_per_slot > 0);
@@ -82,20 +78,6 @@ void Emulator::setup_devices() {
         device_rng.uniform_int(0, std::ssize(kBitrateLadder) - 1))];
     devices_.push_back(std::move(device));
   }
-}
-
-media::Video Emulator::slot_video(const DeviceState& device, int slot) {
-  // Content is a pure function of (seed, device, slot): paired runs see
-  // identical chunks.
-  common::Rng content_seed_rng =
-      derived_rng(config_.seed, device.id.value,
-                  static_cast<std::uint64_t>(slot));
-  media::ContentGenerator generator(content_seed_rng());
-  const auto vid = common::VideoId{static_cast<std::uint32_t>(
-      device.id.value * 100000u + static_cast<std::uint32_t>(slot))};
-  return generator.generate(vid, device.genre, config_.chunks_per_slot,
-                            device.bitrate_mbps,
-                            common::Seconds{config_.chunk_seconds});
 }
 
 RunMetrics Emulator::run() {
@@ -225,7 +207,12 @@ RunMetrics Emulator::run() {
       DeviceState& device = devices_[n];
       if (!device.watching || device.battery.empty()) continue;
 
-      media::Video video = slot_video(device, slot);
+      // Content is a pure function of (seed, device, slot): paired runs see
+      // identical chunks.
+      media::Video video;
+      core::generate_slot_video(config_, device.id.value,
+                                static_cast<std::uint64_t>(slot), device.genre,
+                                device.bitrate_mbps, video);
       cdn.publish(video);
       common::Rng slot_rng = derived_rng(config_.seed ^ 0xF00Du,
                                          device.id.value,
@@ -304,18 +291,11 @@ RunMetrics Emulator::run() {
       }
 
       core::DeviceSlotInput input;
-      input.id = device.id;
       // Price only the chunks available at the edge (Fig. 4): the paper
       // estimates power rates over the available window.
-      const std::size_t known = std::max<std::size_t>(request.chunk_count(),
-                                                      1);
-      input.power_rates_mw.reserve(known);
-      input.chunk_durations_s.reserve(known);
-      for (std::size_t k = 0; k < known && k < video.chunks.size(); ++k) {
-        input.power_rates_mw.push_back(
-            estimator_.rate(device.spec, video.chunks[k]).value);
-        input.chunk_durations_s.push_back(video.chunks[k].duration.value);
-      }
+      core::price_slot_input(
+          device.id, video, std::max<std::size_t>(request.chunk_count(), 1),
+          device.spec, estimator_, resources, input);
       input.initial_energy_mwh = device.battery.remaining().value;
       input.battery_capacity_mwh = device.battery.capacity().value;
       if (config_.one_slot_ahead) {
@@ -349,8 +329,6 @@ RunMetrics Emulator::run() {
           input.gamma = engine_.video_gamma(device.spec, video);
           break;
       }
-      input.compute_cost = resources.compute_cost(device.spec, video);
-      input.storage_cost = resources.storage_cost(video);
 
       problem_index.push_back(
           static_cast<std::ptrdiff_t>(problem.devices.size()));

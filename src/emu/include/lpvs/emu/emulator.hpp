@@ -135,12 +135,10 @@ class Emulator {
 
  private:
   void setup_devices();
-  media::Video slot_video(const DeviceState& device, int slot);
 
   EmulatorConfig config_;
   const core::Scheduler& scheduler_;
   core::RunContext context_;
-  common::Rng rng_;
   std::vector<DeviceState> devices_;
   transform::TransformEngine engine_;
   media::PowerRateEstimator estimator_;

@@ -5,12 +5,14 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "lpvs/battery/battery.hpp"
 #include "lpvs/bayes/gamma_estimator.hpp"
 #include "lpvs/bayes/nig_estimator.hpp"
 #include "lpvs/common/thread_pool.hpp"
+#include "lpvs/core/slot_assembly.hpp"
 #include "lpvs/display/display.hpp"
 #include "lpvs/fleet/wire.hpp"
 #include "lpvs/media/video.hpp"
@@ -20,13 +22,10 @@
 namespace lpvs::fleet {
 namespace {
 
-/// Same derived-stream construction as the emulator: all per-entity-per-slot
+/// Same derived streams as the emulator: all per-entity-per-slot
 /// randomness is a pure function of (seed, entity, slot), so federation
 /// replays are bit-identical regardless of thread count or server layout.
-common::Rng derived_rng(std::uint64_t seed, std::uint64_t a, std::uint64_t b) {
-  return common::Rng(seed ^ (a + 1) * 0x9E3779B97F4A7C15ULL ^
-                     (b + 1) * 0xC2B2AE3D27D4EB4FULL);
-}
+using common::derived_rng;
 
 /// Seed salts for the federation's own derived streams (distinct from the
 /// emulator's 0xF00D/0x5717C4/0xBA1E family except the Bayes-noise salt,
@@ -362,6 +361,11 @@ void Federation::handle_crashes(int slot, FederationReport& report) {
           "Slots of posterior learning lost per restored session");
     }
     for (const SessionState& state : checkpoint.sessions) {
+      // A stale checkpoint (interval > 1) still lists users who have since
+      // moved to another server or ended; putting those back would leave
+      // them in two session lists.  Restore only what this server owns.
+      const FleetUser& user = users_[static_cast<std::size_t>(state.user)];
+      if (!user.placed || user.server != id) continue;
       ServerSession session;
       session.estimator = bayes::GammaEstimator::from_state(state.gamma);
       session.nig = bayes::NigGammaEstimator::from_state(state.nig);
@@ -585,7 +589,8 @@ void Federation::reconcile_placement(int slot, bool rebalancing,
   (void)slot;
 }
 
-void Federation::serve_slot(int slot, FederationReport& report,
+void Federation::serve_slot(int slot, common::ThreadPool* pool,
+                            FederationReport& report,
                             double& anxiety_accumulator) {
   const int global_slot = config_.start_slot + slot;
   const survey::AnxietyModel& anxiety = context_.anxiety_model();
@@ -622,6 +627,7 @@ void Federation::serve_slot(int slot, FederationReport& report,
     problem.compute_capacity = config_.compute_capacity;
     problem.storage_capacity = config_.storage_capacity_mb;
     problem.lambda = config_.lambda;
+    problem.devices.reserve(edge.sessions.size());
     std::vector<std::uint64_t> order;
     std::vector<media::Video> videos;
     std::vector<int> hint;
@@ -630,38 +636,24 @@ void Federation::serve_slot(int slot, FederationReport& report,
     hint.reserve(edge.sessions.size());
 
     for (auto& [user_id, session] : edge.sessions) {
-      FleetUser& user = users_[static_cast<std::size_t>(user_id)];
+      const FleetUser& user = users_[static_cast<std::size_t>(user_id)];
       // Content is a pure function of (seed, user, slot) — identical no
       // matter which server happens to own the user.
-      common::Rng content_seed_rng =
-          derived_rng(config_.seed, user_id,
-                      static_cast<std::uint64_t>(global_slot));
-      media::ContentGenerator generator(content_seed_rng());
-      media::Video video = generator.generate(
-          common::VideoId{static_cast<std::uint32_t>(
-              user_id * 100000u + static_cast<std::uint64_t>(global_slot))},
-          user.genre, config_.chunks_per_slot, user.bitrate_mbps,
-          common::Seconds{config_.chunk_seconds});
-
-      core::DeviceSlotInput input;
-      input.id = common::DeviceId{static_cast<std::uint32_t>(user_id)};
-      input.power_rates_mw.reserve(video.chunks.size());
-      input.chunk_durations_s.reserve(video.chunks.size());
-      for (const media::VideoChunk& chunk : video.chunks) {
-        input.power_rates_mw.push_back(
-            edge.estimator.rate(user.spec, chunk).value);
-        input.chunk_durations_s.push_back(chunk.duration.value);
-      }
+      media::Video& video = videos.emplace_back();
+      core::generate_slot_video(config_, user_id,
+                                static_cast<std::uint64_t>(global_slot),
+                                user.genre, user.bitrate_mbps, video);
+      core::DeviceSlotInput& input = problem.devices.emplace_back();
+      core::price_slot_input(
+          common::DeviceId{static_cast<std::uint32_t>(user_id)}, video,
+          video.chunks.size(), user.spec, edge.estimator, edge.resources,
+          input);
       input.initial_energy_mwh = user.battery.remaining().value;
       input.battery_capacity_mwh = user.battery.capacity().value;
       input.gamma = session.estimator.expected_gamma();
-      input.compute_cost = edge.resources.compute_cost(user.spec, video);
-      input.storage_cost = edge.resources.storage_cost(video);
 
       hint.push_back(session.last_assignment != 0 ? 1 : 0);
       order.push_back(user_id);
-      problem.devices.push_back(std::move(input));
-      videos.push_back(std::move(video));
     }
     edge.slot_scheduled = static_cast<long>(problem.devices.size());
 
@@ -700,6 +692,7 @@ void Federation::serve_slot(int slot, FederationReport& report,
       FleetUser& user = users_[static_cast<std::size_t>(order[i])];
       ServerSession& session = edge.sessions[order[i]];
       const media::Video& video = videos[i];
+      const std::vector<double>& rates = problem.devices[i].power_rates_mw;
       const bool selected = schedule.x[i] != 0;
       const double true_gamma = edge.engine.video_gamma(user.spec, video);
 
@@ -709,9 +702,10 @@ void Federation::serve_slot(int slot, FederationReport& report,
         ++edge.slot_selected;
       }
 
-      for (const media::VideoChunk& chunk : video.chunks) {
-        const double rate = edge.estimator.rate(user.spec, chunk).value;
-        const double psi = selected ? (1.0 - true_gamma) * rate : rate;
+      for (std::size_t k = 0; k < video.chunks.size(); ++k) {
+        const media::VideoChunk& chunk = video.chunks[k];
+        const double psi =
+            selected ? (1.0 - true_gamma) * rates[k] : rates[k];
         edge.slot_anxiety += anxiety(user.battery.fraction());
         ++edge.slot_anxiety_samples;
         const common::MilliwattHours drawn =
@@ -756,11 +750,10 @@ void Federation::serve_slot(int slot, FederationReport& report,
     }
   };
 
-  if (config_.threads == 1 || active.size() <= 1) {
+  if (pool == nullptr || active.size() <= 1) {
     for (std::size_t i = 0; i < active.size(); ++i) serve_one(i);
   } else {
-    common::ThreadPool pool(config_.threads);
-    common::parallel_for(pool, active.size(), serve_one);
+    common::parallel_for(*pool, active.size(), serve_one);
   }
 
   // Sequential epilogue in sorted-server order: double summation order is
@@ -913,6 +906,10 @@ FederationReport Federation::run() {
   report.users = static_cast<long>(users_.size());
   obs::MetricsRegistry* registry = context_.metrics;
 
+  // One serve pool for the whole run, not one per slot.
+  std::optional<common::ThreadPool> pool;
+  if (config_.threads != 1) pool.emplace(config_.threads);
+
   double anxiety_accumulator = 0.0;
   for (int slot = 0; slot < config_.slots; ++slot) {
     const int global_slot = config_.start_slot + slot;
@@ -974,7 +971,7 @@ FederationReport Federation::run() {
     const long anxiety_samples_before = report.anxiety_samples;
     const double anxiety_before = anxiety_accumulator;
     const auto serve_start = std::chrono::steady_clock::now();
-    serve_slot(slot, report, anxiety_accumulator);
+    serve_slot(slot, pool ? &*pool : nullptr, report, anxiety_accumulator);
     const double serve_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - serve_start)

@@ -40,6 +40,10 @@
 #include "lpvs/fleet/placement.hpp"
 #include "lpvs/trace/trace.hpp"
 
+namespace lpvs::common {
+class ThreadPool;
+}  // namespace lpvs::common
+
 namespace lpvs::fleet {
 
 /// A scheduled membership change: `server` joins (with `weight`) or leaves
@@ -209,8 +213,9 @@ class Federation {
   void handle_crashes(int slot, FederationReport& report);
   void reconcile_placement(int slot, bool rebalancing,
                            FederationReport& report);
-  void serve_slot(int slot, FederationReport& report,
-                  double& anxiety_accumulator);
+  /// Serves every live server; in parallel on `pool` when it is non-null.
+  void serve_slot(int slot, common::ThreadPool* pool,
+                  FederationReport& report, double& anxiety_accumulator);
   void evaluate_autoscale(int slot, FederationReport& report);
   void take_checkpoints(int slot);
 

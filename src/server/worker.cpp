@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include "lpvs/common/io.hpp"
+#include "lpvs/core/slot_assembly.hpp"
 
 namespace lpvs::server::internal {
 namespace {
@@ -252,7 +253,7 @@ void Worker::adopt(ConnectionHandoff&& handoff) {
   // The panel spec is server-derived (the provider knows the handset
   // catalog); keyed on the user so it is stable across reconnects.
   common::Rng spec_rng =
-      derived_rng(config_.slot.seed, hello.user_id, kDeviceSalt);
+      common::derived_rng(config_.slot.seed, hello.user_id, kDeviceSalt);
   conn->spec = display::DeviceCatalog::standard().sample(spec_rng).spec;
   cluster->members[hello.user_id] = conn;
   if (cluster->members.size() == cluster->expected_size) {
@@ -466,38 +467,24 @@ void Worker::schedule_cluster(Cluster* cluster, int forced_rung) {
 
   std::size_t index = 0;
   for (auto& [user_id, member] : cluster->members) {
-    // Content is a pure function of (seed, user, slot): the same derived
-    // streams the emulator and federation use.
-    common::Rng content_rng =
-        derived_rng(config_.slot.seed, user_id, cluster->next_slot);
-    media::ContentGenerator generator(content_rng());
-    const auto genre =
-        static_cast<media::Genre>(member->hello.genre % media::kGenreCount);
-    generator.generate_into(
-        video_,
-        common::VideoId{
-            static_cast<std::uint32_t>(user_id * 100000u + cluster->next_slot)},
-        genre, config_.slot.chunks_per_slot, member->hello.bitrate_mbps,
-        common::Seconds{config_.slot.chunk_seconds});
+    // Content is a pure function of (seed, user, slot): the same assembler
+    // the emulator and federation use.
+    core::generate_slot_video(
+        config_.slot, user_id, cluster->next_slot,
+        static_cast<media::Genre>(member->hello.genre % media::kGenreCount),
+        member->hello.bitrate_mbps, video_);
 
     if (index == problem_.devices.size()) problem_.devices.emplace_back();
     core::DeviceSlotInput& input = problem_.devices[index];
-    input.id = common::DeviceId{static_cast<std::uint32_t>(user_id)};
-    input.power_rates_mw.clear();
-    input.chunk_durations_s.clear();
-    for (const media::VideoChunk& chunk : video_.chunks) {
-      input.power_rates_mw.push_back(
-          rate_estimator_.rate(member->spec, chunk).value);
-      input.chunk_durations_s.push_back(chunk.duration.value);
-    }
+    core::price_slot_input(
+        common::DeviceId{static_cast<std::uint32_t>(user_id)}, video_,
+        video_.chunks.size(), member->spec, rate_estimator_, resources_,
+        input);
     input.battery_capacity_mwh = member->hello.battery_capacity_mwh;
     input.initial_energy_mwh = member->report.battery_fraction *
                                member->hello.battery_capacity_mwh *
                                config_.slot.effective_capacity_scale;
     input.gamma = member->gamma.expected_gamma();
-    input.compute_cost = resources_.compute_cost(member->spec, video_);
-    input.storage_cost = resources_.storage_cost(video_);
-    input.sla_weight = 1.0;
 
     order_.push_back(member);
     ++index;

@@ -42,16 +42,8 @@
 
 namespace lpvs::server::internal {
 
-/// Same derived-stream construction as the emulator and federation: all
-/// per-(entity, slot) randomness is a pure function of (seed, entity, slot),
-/// so the daemon's slot problems are independent of socket interleaving —
-/// and of which worker serves the cluster.
-inline common::Rng derived_rng(std::uint64_t seed, std::uint64_t a,
-                               std::uint64_t b) {
-  return common::Rng(seed ^ (a + 1) * 0x9E3779B97F4A7C15ULL ^
-                     (b + 1) * 0xC2B2AE3D27D4EB4FULL);
-}
-
+/// Salt of the derived stream (common::derived_rng) that picks a user's
+/// panel spec.
 inline constexpr std::uint64_t kDeviceSalt = 0xD15CuLL;
 
 /// Everything the daemon counts, indexed so the fold loop is table-driven.

@@ -1,11 +1,13 @@
 // Tests for the slot-problem machinery: the information-compacting
 // identities of SV-B (the heart of the paper's solution method) checked as
-// exact algebraic properties against forward simulation.
+// exact algebraic properties against forward simulation, and the slot
+// assembler that turns derived content into a DeviceSlotInput.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "lpvs/common/rng.hpp"
+#include "lpvs/core/slot_assembly.hpp"
 #include "lpvs/core/slot_problem.hpp"
 #include "lpvs/survey/lba_curve.hpp"
 
@@ -219,6 +221,139 @@ TEST(ObjectiveStructure, LowBatteryDeviceBenefitsMoreFromTransform) {
       compacted_objective(high, false, anxiety(), lambda) -
       compacted_objective(high, true, anxiety(), lambda);
   EXPECT_GT(benefit_low, benefit_high);
+}
+
+// ------------------------------------------------------------ assembly --
+
+// An OLED panel, whose power follows the content.
+const display::DisplaySpec& test_panel() {
+  static const display::DisplaySpec spec = [] {
+    const display::DeviceCatalog& catalog = display::DeviceCatalog::standard();
+    for (std::size_t i = 0; i < catalog.size(); ++i) {
+      if (catalog.at(i).spec.type == display::DisplayType::kOled) {
+        return catalog.at(i).spec;
+      }
+    }
+    return display::DisplaySpec{};
+  }();
+  return spec;
+}
+
+void expect_same_chunks(const media::Video& a, const media::Video& b) {
+  ASSERT_EQ(a.chunks.size(), b.chunks.size());
+  for (std::size_t k = 0; k < a.chunks.size(); ++k) {
+    const display::FrameStats& x = a.chunks[k].stats;
+    const display::FrameStats& y = b.chunks[k].stats;
+    EXPECT_EQ(x.mean_luminance, y.mean_luminance);
+    EXPECT_EQ(x.mean_r, y.mean_r);
+    EXPECT_EQ(x.mean_g, y.mean_g);
+    EXPECT_EQ(x.mean_b, y.mean_b);
+    EXPECT_EQ(x.peak_luminance, y.peak_luminance);
+    EXPECT_EQ(a.chunks[k].bitrate_mbps, b.chunks[k].bitrate_mbps);
+    EXPECT_EQ(a.chunks[k].duration.value, b.chunks[k].duration.value);
+  }
+}
+
+const SlotProblemConfig& seed5() {
+  static const SlotProblemConfig config = [] {
+    SlotProblemConfig c;
+    c.seed = 5;
+    return c;
+  }();
+  return config;
+}
+
+media::Video slot_video(std::uint64_t user, std::uint64_t slot) {
+  media::Video video;
+  generate_slot_video(seed5(), user, slot, media::Genre::kIrlChat, 3.5, video);
+  return video;
+}
+
+TEST(DerivedRng, MatchesTheStreamFormula) {
+  const std::uint64_t triples[][3] = {
+      {0, 0, 0}, {42, 7, 144}, {0xF00Du, 0xD0u, 3}, {~0ULL, ~0ULL, 1}};
+  for (const auto& t : triples) {
+    common::Rng expected(t[0] ^ (t[1] + 1) * 0x9E3779B97F4A7C15ULL ^
+                         (t[2] + 1) * 0xC2B2AE3D27D4EB4FULL);
+    common::Rng derived = common::derived_rng(t[0], t[1], t[2]);
+    for (int draw = 0; draw < 4; ++draw) EXPECT_EQ(derived(), expected());
+  }
+  EXPECT_EQ(common::derived_rng(42, 7, 144)(), 0xa457e327bde2c3f3ULL);
+}
+
+TEST(SlotAssembly, ContentIsAPureFunctionOfSeedUserSlot) {
+  const media::Video video = slot_video(3, 17);
+  ASSERT_EQ(video.chunks.size(), 30u);
+  EXPECT_EQ(video.id.value, 3u * 100000u + 17u);
+
+  // The old inline form: a generator seeded from the derived stream.
+  common::Rng content_rng = common::derived_rng(5, 3, 17);
+  const media::Video expected =
+      media::ContentGenerator(content_rng())
+          .generate(video.id, media::Genre::kIrlChat, 30, 3.5,
+                    common::Seconds{10.0});
+
+  // Writing into a Video that held another slot changes nothing.
+  media::Video reused = slot_video(9, 2);
+  generate_slot_video(seed5(), 3, 17, media::Genre::kIrlChat, 3.5, reused);
+
+  expect_same_chunks(video, expected);
+  expect_same_chunks(video, reused);
+  EXPECT_NE(video.chunks[0].stats.mean_luminance,
+            slot_video(3, 18).chunks[0].stats.mean_luminance);
+}
+
+TEST(SlotAssembly, PricesOnlyTheRequestedPrefix) {
+  const media::Video video = slot_video(4, 2);
+  const media::PowerRateEstimator estimator;
+  const transform::ResourceModel resources;
+
+  DeviceSlotInput input;
+  price_slot_input(common::DeviceId{4}, video, 12, test_panel(), estimator,
+                   resources, input);
+  EXPECT_EQ(input.id.value, 4u);
+  ASSERT_EQ(input.chunk_count(), 12u);
+  ASSERT_EQ(input.chunk_durations_s.size(), 12u);
+  for (std::size_t k = 0; k < 12; ++k) {
+    EXPECT_EQ(input.power_rates_mw[k],
+              estimator.rate(test_panel(), video.chunks[k]).value);
+    EXPECT_EQ(input.chunk_durations_s[k], video.chunks[k].duration.value);
+  }
+  // The edge costs are those of the whole slot's stream.
+  EXPECT_EQ(input.compute_cost, resources.compute_cost(test_panel(), video));
+  EXPECT_EQ(input.storage_cost, resources.storage_cost(video));
+
+  // A window longer than the video prices the whole video.
+  price_slot_input(common::DeviceId{4}, video, 99, test_panel(), estimator,
+                   resources, input);
+  EXPECT_EQ(input.chunk_count(), video.chunks.size());
+}
+
+TEST(SlotAssembly, ReusedInputFillsExactlyLikeAFreshOne) {
+  const media::Video video = slot_video(6, 30);
+  const media::PowerRateEstimator estimator;
+  const transform::ResourceModel resources;
+
+  DeviceSlotInput fresh;
+  price_slot_input(common::DeviceId{6}, video, video.chunks.size(),
+                   test_panel(), estimator, resources, fresh);
+
+  DeviceSlotInput reused;
+  reused.id = common::DeviceId{99};
+  reused.power_rates_mw.assign(50, 1234.0);
+  reused.chunk_durations_s.assign(50, 3.0);
+  reused.compute_cost = 9.0;
+  reused.storage_cost = 900.0;
+  reused.sla_weight = 2.5;
+  price_slot_input(common::DeviceId{6}, video, video.chunks.size(),
+                   test_panel(), estimator, resources, reused);
+
+  EXPECT_EQ(reused.id.value, fresh.id.value);
+  EXPECT_EQ(reused.power_rates_mw, fresh.power_rates_mw);
+  EXPECT_EQ(reused.chunk_durations_s, fresh.chunk_durations_s);
+  EXPECT_EQ(reused.compute_cost, fresh.compute_cost);
+  EXPECT_EQ(reused.storage_cost, fresh.storage_cost);
+  EXPECT_EQ(reused.sla_weight, 1.0);
 }
 
 }  // namespace

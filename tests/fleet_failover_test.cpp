@@ -15,6 +15,7 @@
 #include "lpvs/core/scheduler.hpp"
 #include "lpvs/fault/fault_injector.hpp"
 #include "lpvs/fleet/federation.hpp"
+#include "lpvs/fleet/placement.hpp"
 #include "lpvs/obs/metrics.hpp"
 #include "lpvs/trace/trace.hpp"
 
@@ -208,6 +209,66 @@ TEST(FleetFailover, CrashReplayIsThreadCountInvariant) {
   EXPECT_EQ(reports[0].total_energy_mwh, reports[1].total_energy_mwh);
   EXPECT_EQ(reports[0].handoffs, reports[1].handoffs);
   EXPECT_EQ(reports[0].failovers, reports[1].failovers);
+}
+
+// A restore from a stale checkpoint puts back only the sessions the crashed
+// server still owns.  Server 3 joins right after the slot-9 checkpoint and
+// takes users from the configured servers; from then on every server
+// crashes every slot, so each restore reads that stale checkpoint.  A moved
+// user put back on its old server as well would sit in two session lists
+// and be served twice per slot; the old server then leaves and rejoins, and
+// a stale session left behind would have kept it from retiring and be
+// served again after the rejoin.
+TEST(FleetFailover, StaleRestoreSkipsSessionsThatMovedAway) {
+  fleet::FederationConfig config = failover_config();
+  config.slots = 16;
+  config.checkpoint_interval = 10;
+  config.enable_giveup = false;
+
+  // The old server of the first user the join moves.
+  const fleet::Placement before({{0, 1.0}, {1, 1.0}, {2, 1.0}});
+  const fleet::Placement after({{0, 1.0}, {1, 1.0}, {2, 1.0}, {3, 1.0}});
+  std::uint64_t donor = 3;
+  for (int user = 0; user < config.users; ++user) {
+    const auto key = static_cast<std::uint64_t>(user);
+    if (after.place(key) != before.place(key)) {
+      donor = before.place(key);
+      break;
+    }
+  }
+  ASSERT_NE(donor, 3u) << "the join moves nobody";
+  config.membership = {{10, 3, true, 1.0},
+                       {12, donor, false, 1.0},
+                       {14, donor, true, 1.0}};
+
+  const auto user_slots = [](const fleet::FederationReport& report) {
+    long total = 0;
+    for (const fleet::ServerReport& row : report.servers) {
+      total += row.scheduled_users;
+    }
+    return total;
+  };
+
+  // Without crashes every user watches every slot.
+  const fleet::FederationReport calm =
+      run_federation(config, core::RunContext(anxiety()));
+  ASSERT_EQ(calm.slots_run, config.slots);
+  ASSERT_EQ(user_slots(calm), calm.users * config.slots);
+
+  fleet::FederationReport reports[2];
+  const unsigned thread_counts[] = {1, 2};
+  for (int i = 0; i < 2; ++i) {
+    config.threads = thread_counts[i];
+    const fault::FaultInjector injector(crash_only(7, 1.0));
+    reports[i] = run_federation(
+        config, core::RunContext(anxiety()).with_fault_injector(&injector));
+    EXPECT_GT(reports[i].failovers, 0);
+    EXPECT_EQ(reports[i].sessions_lost, 0);
+    // Served exactly once per slot.
+    EXPECT_EQ(user_slots(reports[i]), reports[i].users * config.slots);
+  }
+  EXPECT_EQ(reports[0].state_digest, reports[1].state_digest);
+  EXPECT_EQ(reports[0].total_energy_mwh, reports[1].total_energy_mwh);
 }
 
 }  // namespace
