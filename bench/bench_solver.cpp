@@ -1,6 +1,9 @@
-// Micro-benchmarks (google-benchmark): the from-scratch LP / ILP solver
-// substrate — the replacement for the paper's CPLEX/Gurobi calls — across
-// Phase-1-shaped instance sizes.
+// Micro-benchmarks (google-benchmark): the from-scratch solver substrate
+// that replaces the paper's CPLEX/Gurobi calls, across Phase-1-shaped
+// instance sizes.  BM_LpRelaxation times the dense reference LP (LpSolver);
+// BM_BranchAndBound times the B&B the scheduler serves with (presolve,
+// best-first search, dual re-solves over RevisedLpSolver) at its default
+// exact options; BM_GreedyBaseline times the density greedy.
 #include <benchmark/benchmark.h>
 
 #include "lpvs/common/rng.hpp"

@@ -21,9 +21,9 @@
 // constraint (11), a QoE floor on the granted utility — is enforced the
 // same way (11) already is in Phase-1: as *menu eligibility*, entries that
 // fail are simply never created.  Because the result is a plain
-// BinaryProgram, the exhaustive enumerator and the dense LP engine remain
-// ground truth for the joint solves, and the differential harness extends
-// to rung variables unchanged.
+// BinaryProgram, the exhaustive enumerator and the test-only dense-LP
+// oracle B&B remain ground truth for the joint solves, and the
+// differential harness extends to rung variables unchanged.
 //
 // The objective of entry (n, t, m), relative to the baseline:
 //

@@ -35,9 +35,7 @@ std::vector<Schedule> BatchScheduler::schedule_batch(
   auto run_one = [&](std::size_t i) {
     const obs::ScopedTimer timer(shard_ms_hist);
     const RunContext shard_context =
-        options_.warm_start
-            ? context.with_solve_cache(&cache_, items[i].stream_key)
-            : context;
+        context.with_solve_cache(&cache_, items[i].stream_key);
     results[i] = scheduler.schedule(items[i].problem, shard_context);
   };
 

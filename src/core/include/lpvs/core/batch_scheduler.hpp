@@ -38,10 +38,6 @@ class BatchScheduler {
     /// Worker threads for the shard fan-out; 0 = hardware concurrency,
     /// 1 = run inline on the caller's thread.
     unsigned threads = 0;
-    /// Seed each shard's ILP with its stream's previous assignment.  Off,
-    /// the batch is pure sharding (every solve cold) — the control leg the
-    /// warm-start bench compares against.
-    bool warm_start = true;
   };
 
   BatchScheduler() : BatchScheduler(Options{}) {}

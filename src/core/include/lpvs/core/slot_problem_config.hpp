@@ -17,8 +17,6 @@
 
 #include <cstdint>
 
-#include "lpvs/solver/lp.hpp"
-
 namespace lpvs::core {
 
 struct SlotProblemConfig {
@@ -38,20 +36,6 @@ struct SlotProblemConfig {
   double effective_capacity_scale = 0.25;
   /// Seeds the derived per-(entity, slot) randomness streams.
   std::uint64_t seed = 42;
-  /// Warm-start consecutive-slot ILP solves from the previous slot's
-  /// assignment (solver::SolveCache).  Changes which optimal assignment
-  /// ties resolve to and the nodes explored, never the objective achieved;
-  /// off reproduces the historical every-solve-cold behavior exactly.
-  bool warm_start = true;
-  /// Which LP relaxation engine drives the per-slot B&B.  kRevised (the
-  /// default) presolves, re-solves each node dually from its parent basis,
-  /// and reuses the previous slot's root basis across coefficient deltas;
-  /// kDense is the historical from-scratch simplex kept as the
-  /// differential oracle.  Objectives are engine-independent (the
-  /// differential tests enforce it); node counts and tie-broken
-  /// assignments are not, so the engine is part of the solve-budget
-  /// fingerprint (solver::budget_fingerprint).
-  solver::LpEngine lp_engine = solver::LpEngine::kRevised;
 };
 
 }  // namespace lpvs::core

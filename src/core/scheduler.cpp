@@ -140,11 +140,6 @@ solver::BinaryProgram phase1_program(const SlotProblem& problem) {
 }
 
 solver::BranchAndBoundSolver::Options scheduler_ilp_defaults() {
-  return scheduler_ilp_defaults(solver::LpEngine::kRevised);
-}
-
-solver::BranchAndBoundSolver::Options scheduler_ilp_defaults(
-    solver::LpEngine engine) {
   // The root LP plus LP-guided rounding already lands within a fraction of
   // a percent of the optimum on Phase-1-shaped knapsacks; a couple hundred
   // nodes close the remaining gap.  Proving exact optimality can take an
@@ -153,13 +148,6 @@ solver::BranchAndBoundSolver::Options scheduler_ilp_defaults(
   solver::BranchAndBoundSolver::Options options;
   options.max_nodes = 200;
   options.relative_gap = 1e-4;
-  options.engine = engine;
-  return options;
-}
-
-LpvsScheduler::Options scheduler_options_for(const SlotProblemConfig& config) {
-  LpvsScheduler::Options options;
-  options.ilp = scheduler_ilp_defaults(config.lp_engine);
   return options;
 }
 

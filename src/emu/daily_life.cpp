@@ -205,10 +205,7 @@ FleetDailyReport simulate_daily_life_fleet(const DailyLifeConfig& config,
     day_rngs.push_back(rng.fork(5000 + static_cast<std::uint64_t>(u)));
   }
 
-  core::BatchScheduler::Options batch_options;
-  batch_options.threads = edge.threads;
-  batch_options.warm_start = edge.warm_start;
-  core::BatchScheduler batch(batch_options);
+  core::BatchScheduler batch(core::BatchScheduler::Options{edge.threads});
 
   FleetDailyReport report;
   double anxiety_minutes = 0.0;

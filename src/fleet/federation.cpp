@@ -116,7 +116,7 @@ struct Federation::EdgeServer {
   solver::SolveCache cache;
   std::uint64_t slots_run = 0;
   ServerReport report;
-  transform::TransformEngine engine;
+  transform::TransformEngine transforms;
   media::PowerRateEstimator estimator;
   transform::ResourceModel resources;
   bool leaving = false;
@@ -205,25 +205,15 @@ void Federation::setup_users() {
   const std::vector<survey::Participant> participants =
       population.generate(user_count, setup_rng);
 
-  const auto& catalog = display::DeviceCatalog::standard();
   for (int n = 0; n < user_count; ++n) {
     const trace::Session* session = live[static_cast<std::size_t>(n) %
                                          live.size()];
     const trace::Channel& channel = trace_.channel(session->channel);
 
-    common::Rng device_rng =
-        derived_rng(config_.seed, kDeviceSalt, static_cast<std::uint64_t>(n));
-    FleetUser user;
-    user.id = static_cast<std::uint64_t>(n);
-    user.genre = channel.genre;
-    user.bitrate_mbps = channel.bitrate_mbps;
-    const auto& profile = catalog.sample(device_rng);
-    user.spec = profile.spec;
-    user.start_fraction = device_rng.truncated_normal(
-        config_.initial_battery_mean, config_.initial_battery_std, 0.05, 1.0);
-    user.battery = battery::Battery(
-        common::MilliwattHours{profile.battery_mwh * config_.effective_capacity_scale},
-        user.start_fraction);
+    const auto id = static_cast<std::uint64_t>(n);
+    common::Rng device_rng = derived_rng(config_.seed, kDeviceSalt, id);
+    FleetUser user =
+        make_user(id, channel.genre, channel.bitrate_mbps, device_rng);
     user.giveup_percent =
         participants[static_cast<std::size_t>(n)].giveup_level;
     user.end_slot = session->end_slot();
@@ -238,6 +228,25 @@ void Federation::setup_users() {
     const trace::Channel& channel = trace_.channel(session->channel);
     session_pool_.push_back({channel.genre, channel.bitrate_mbps});
   }
+}
+
+Federation::FleetUser Federation::make_user(std::uint64_t id,
+                                            media::Genre genre,
+                                            double bitrate_mbps,
+                                            common::Rng& device_rng) const {
+  FleetUser user;
+  user.id = id;
+  user.genre = genre;
+  user.bitrate_mbps = bitrate_mbps;
+  const auto& profile = display::DeviceCatalog::standard().sample(device_rng);
+  user.spec = profile.spec;
+  user.start_fraction = device_rng.truncated_normal(
+      config_.initial_battery_mean, config_.initial_battery_std, 0.05, 1.0);
+  user.battery = battery::Battery(
+      common::MilliwattHours{profile.battery_mwh *
+                             config_.effective_capacity_scale},
+      user.start_fraction);
+  return user;
 }
 
 void Federation::spawn_arrivals(int slot, FederationReport& report) {
@@ -263,7 +272,6 @@ void Federation::spawn_arrivals(int slot, FederationReport& report) {
   const int count = poisson_draw(arrival_rng, mean);
   if (count <= 0) return;
 
-  const auto& catalog = display::DeviceCatalog::standard();
   const survey::SyntheticPopulation population;
   long spawned = 0;
   for (int k = 0; k < count; ++k) {
@@ -276,20 +284,8 @@ void Federation::spawn_arrivals(int slot, FederationReport& report) {
     // Same per-user derived stream as the start-slot audience: ids are
     // unique, so arrivals never collide with an existing user's draws.
     common::Rng device_rng = derived_rng(config_.seed, kDeviceSalt, id);
-
-    FleetUser user;
-    user.id = id;
-    user.genre = channel.genre;
-    user.bitrate_mbps = channel.bitrate_mbps;
-    const auto& profile = catalog.sample(device_rng);
-    user.spec = profile.spec;
-    user.start_fraction = device_rng.truncated_normal(
-        config_.initial_battery_mean, config_.initial_battery_std, 0.05,
-        1.0);
-    user.battery = battery::Battery(
-        common::MilliwattHours{profile.battery_mwh *
-                               config_.effective_capacity_scale},
-        user.start_fraction);
+    FleetUser user =
+        make_user(id, channel.genre, channel.bitrate_mbps, device_rng);
     common::Rng survey_rng =
         derived_rng(config_.seed ^ kArrivalSalt, id, 1);
     const std::vector<survey::Participant> participants =
@@ -663,21 +659,16 @@ void Federation::serve_slot(int slot, common::ThreadPool* pool,
     // does not cold-start the destination's ILP stream.  The salted
     // fingerprint never exact-hits; the cache greedy-repairs the hint into
     // the B&B incumbent.
-    if (config_.warm_start) {
-      solver::IlpSolution hint_solution;
-      hint_solution.status = solver::IlpStatus::kFeasible;
-      hint_solution.x = hint;
-      edge.cache.store(edge.info.id, kHintFingerprint, hint_solution);
-    }
+    solver::IlpSolution hint_solution;
+    hint_solution.status = solver::IlpStatus::kFeasible;
+    hint_solution.x = hint;
+    edge.cache.store(edge.info.id, kHintFingerprint, hint_solution);
 
-    core::RunContext scheduling_context =
+    const core::RunContext scheduling_context =
         context_.with_fault_injector(nullptr)
             .with_trace(nullptr)
-            .with_slot(global_slot);
-    if (config_.warm_start) {
-      scheduling_context =
-          scheduling_context.with_solve_cache(&edge.cache, edge.info.id);
-    }
+            .with_slot(global_slot)
+            .with_solve_cache(&edge.cache, edge.info.id);
     const core::Schedule schedule =
         scheduler_.schedule(problem, scheduling_context);
     edge.slot_objective = schedule.objective;
@@ -694,7 +685,7 @@ void Federation::serve_slot(int slot, common::ThreadPool* pool,
       const media::Video& video = videos[i];
       const std::vector<double>& rates = problem.devices[i].power_rates_mw;
       const bool selected = schedule.x[i] != 0;
-      const double true_gamma = edge.engine.video_gamma(user.spec, video);
+      const double true_gamma = edge.transforms.video_gamma(user.spec, video);
 
       session.last_assignment = selected ? 1 : 0;
       if (selected) {

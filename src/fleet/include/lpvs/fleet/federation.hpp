@@ -207,6 +207,11 @@ class Federation {
   struct FleetUser;
 
   void setup_users();
+  /// A viewer of a `genre` channel at `bitrate_mbps`: device and starting
+  /// battery drawn from `device_rng`, the user's derived device stream.
+  /// The give-up level and end slot are the caller's.
+  FleetUser make_user(std::uint64_t id, media::Genre genre,
+                      double bitrate_mbps, common::Rng& device_rng) const;
   void setup_servers();
   EdgeServer& server(std::uint64_t id);
   void spawn_arrivals(int slot, FederationReport& report);

@@ -65,8 +65,7 @@ Worker::Worker(const ServerConfig& config, const core::Scheduler& scheduler,
       control_(control),
       schedule_ms_(schedule_ms),
       batch_occupancy_(batch_occupancy),
-      ring_(kHandoffRingSlots),
-      joint_scheduler_(core::scheduler_ilp_defaults(config.slot.lp_engine)) {
+      ring_(kHandoffRingSlots) {
   joint_.ladder = abr::LadderModel(config.abr.ladder);
   joint_.receive_budget_mwh = config.abr.receive_budget_mwh;
   joint_.qoe_weight = config.abr.qoe_weight;
@@ -491,10 +490,8 @@ void Worker::schedule_cluster(Cluster* cluster, int forced_rung) {
   }
 
   core::RunContext ctx =
-      context_.with_slot(static_cast<std::int64_t>(cluster->next_slot));
-  if (config_.slot.warm_start) {
-    ctx = ctx.with_solve_cache(&cluster->cache, cluster->id);
-  }
+      context_.with_slot(static_cast<std::int64_t>(cluster->next_slot))
+          .with_solve_cache(&cluster->cache, cluster->id);
   core::SlotDeadline deadline = config_.deadline;
   if (forced_rung >= 0 &&
       (deadline.force_rung < 0 || forced_rung > deadline.force_rung)) {

@@ -4,8 +4,8 @@
 // total power saving subject to the two edge-capacity rows (6)(7), with the
 // compacted energy-feasibility constraint (11) acting as a per-device
 // eligibility filter.  The paper feeds this to CPLEX/Gurobi; we provide an
-// exact branch-and-bound over our own simplex, plus a greedy heuristic and
-// an exhaustive enumerator used as ground truth in tests.
+// exact branch-and-bound over our own revised simplex, plus a greedy
+// heuristic and an exhaustive enumerator used as ground truth in tests.
 #pragma once
 
 #include <cstdint>
@@ -63,22 +63,18 @@ struct IlpSolution {
 };
 
 /// Exact branch-and-bound with LP bounding, most-fractional branching, and
-/// a greedy warm start.  Two relaxation engines (see LpEngine):
+/// a greedy warm start: presolve, a best-first node heap, a per-node
+/// dual-simplex re-solve from the parent basis (RevisedLpSolver), and
+/// optional cross-solve root-basis memory (BasisHint).
 ///
-///   kDense    depth-first, branch-up-first, per-node dense LP from
-///             scratch — the historical path, kept bit-for-bit as the
-///             differential oracle.
-///   kRevised  presolve + best-first node heap + per-node dual-simplex
-///             re-solve from the parent basis (RevisedLpSolver), with
-///             optional cross-solve root-basis memory (BasisHint).
-///
-/// Both engines are deterministic: node counts and objectives are pure
-/// functions of (problem, options, incumbent, basis memory) — no wall
-/// clocks, no thread-count dependence — which is what keeps SolveCache
-/// budget fingerprints and the degradation ladder's node budgets stable.
-/// The returned objective additionally never depends on the incumbent or
-/// the basis memory (they only steer pruning); the differential tests
-/// enforce this.
+/// Deterministic: node counts and objectives are pure functions of
+/// (problem, options, incumbent, basis memory) — no wall clocks, no
+/// thread-count dependence — which is what keeps SolveCache budget
+/// fingerprints and the degradation ladder's node budgets stable.  The
+/// returned objective additionally never depends on the incumbent or the
+/// basis memory (they only steer pruning); the differential tests enforce
+/// this against the exhaustive enumerator and a dense-LP depth-first
+/// oracle kept under tests/.
 class BranchAndBoundSolver {
  public:
   struct Options {
@@ -89,10 +85,7 @@ class BranchAndBoundSolver {
     /// positive gap (e.g. 1e-5) to avoid chasing ties through an
     /// exponential frontier of equivalent optima.
     double relative_gap = 0.0;
-    /// Which per-node relaxation engine to run.  Defaults to the dense
-    /// oracle; scheduler_ilp_defaults() selects kRevised for the serving
-    /// hot path.
-    LpEngine engine = LpEngine::kDense;
+    /// Iteration budget and tolerance of each node's LP relaxation.
     LpSolver::Options lp;
   };
 
@@ -120,25 +113,15 @@ class BranchAndBoundSolver {
       const BinaryProgram& problem, const std::vector<int>& incumbent) const;
 
   /// Full-control solve: optional warm incumbent (nullptr for greedy) plus
-  /// optional cross-solve basis memory.  With the revised engine,
-  /// `basis_memory` seeds the root relaxation when its presolve maps match
-  /// this problem's, and is overwritten with this solve's root basis for
-  /// the next slot; with the dense engine it is cleared.  Results never
-  /// depend on the memory's content — only the pivot path does.
+  /// optional cross-solve basis memory.  `basis_memory` seeds the root
+  /// relaxation when its presolve maps match this problem's, and is
+  /// overwritten with this solve's root basis for the next slot.  Results
+  /// never depend on the memory's content — only the pivot path does.
   IlpSolution solve_with_memory(const BinaryProgram& problem,
                                 const std::vector<int>* incumbent,
                                 BasisHint* basis_memory) const;
 
  private:
-  IlpSolution solve_impl(const BinaryProgram& problem,
-                         const std::vector<int>* incumbent,
-                         BasisHint* basis_memory) const;
-  IlpSolution solve_dense(const BinaryProgram& problem,
-                          const std::vector<int>* incumbent) const;
-  IlpSolution solve_revised(const BinaryProgram& problem,
-                            const std::vector<int>* incumbent,
-                            BasisHint* basis_memory) const;
-
   Options options_;
 };
 

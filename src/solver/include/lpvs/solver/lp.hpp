@@ -1,12 +1,13 @@
 // Dense linear-programming solver: maximize c^T x subject to A x <= b and
 // box bounds 0 <= x <= u, via the bounded-variable primal simplex method.
 //
-// This is the reproduction's stand-in for the off-the-shelf solvers the
-// paper calls (CPLEX / Gurobi / CVX, SV-C).  The Phase-1 problem has only a
-// handful of rows (two capacity constraints plus the compacted feasibility
-// pre-filter), so a dense simplex with an explicitly inverted basis is both
-// simple and fast: the basis is m x m with m <= ~8 while n can be in the
-// thousands (Fig. 10 scales the VC to 5,000 devices).
+// The Phase-1 problem has only a handful of rows (two capacity constraints
+// plus the compacted feasibility pre-filter), so a dense simplex with an
+// explicitly inverted basis is simple and fast: the basis is m x m with
+// m <= ~8 while n can be in the thousands (Fig. 10 scales the VC to 5,000
+// devices).  It is the reference LP: the revised engine's tests and the
+// benchmark's LP-relaxation bound check against it.  BranchAndBoundSolver
+// runs RevisedLpSolver (revised_lp.hpp) at every node.
 #pragma once
 
 #include <cstddef>
@@ -45,23 +46,6 @@ enum class LpStatus {
 };
 
 std::string to_string(LpStatus status);
-
-/// Which LP relaxation engine BranchAndBoundSolver runs per node.
-///
-///   kDense    the historical bounded-variable primal simplex (LpSolver):
-///             every node rebuilds the relaxation and re-inverts the basis
-///             from scratch.  Retained bit-for-bit as the differential
-///             oracle.
-///   kRevised  the revised/dual-simplex engine (RevisedLpSolver): one
-///             factorized basis per solve, per-node dual re-solve from the
-///             parent basis after bound tightening, presolve, best-first
-///             node ordering, and cross-slot root-basis reuse.
-enum class LpEngine : unsigned char {
-  kDense,
-  kRevised,
-};
-
-std::string to_string(LpEngine engine);
 
 /// Canonical-status view of an LP outcome: kOptimal maps to OK,
 /// kIterationLimit to kResourceExhausted (raise Options::max_iterations),

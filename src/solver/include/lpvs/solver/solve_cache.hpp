@@ -83,8 +83,8 @@ class SolveCache {
     std::vector<int> incumbent;  ///< repaired warm start; empty = cold
     /// Root-relaxation basis memory from the stream's previous solve (see
     /// BasisHint); empty when none was stored.  Feed it back through
-    /// BranchAndBoundSolver::solve_with_memory — the revised engine's
-    /// cross-slot dual re-solve runs off it.
+    /// BranchAndBoundSolver::solve_with_memory — its cross-slot dual
+    /// re-solve runs off it.
     BasisHint basis;
   };
 

@@ -78,16 +78,6 @@ std::string to_string(LpStatus status) {
   return "unknown";
 }
 
-std::string to_string(LpEngine engine) {
-  switch (engine) {
-    case LpEngine::kDense:
-      return "dense";
-    case LpEngine::kRevised:
-      return "revised";
-  }
-  return "unknown";
-}
-
 common::Status to_status(LpStatus status) {
   switch (status) {
     case LpStatus::kOptimal:

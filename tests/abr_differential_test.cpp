@@ -3,8 +3,8 @@
 // build_joint_program emits a plain solver::BinaryProgram, so the solver
 // stack's ground-truth chain extends to rung variables unchanged: over
 // hundreds of random joint instances (devices x ladders x budgets x QoE
-// floors), branch-and-bound with the revised engine, branch-and-bound with
-// the dense oracle engine, and the exhaustive enumerator must agree on
+// floors), solver::BranchAndBoundSolver, the dense-LP oracle B&B
+// (tests/oracle), and the exhaustive enumerator must agree on
 // status and objective, and the decoded selection must respect the
 // multiple-choice rows (at most one menu entry per device).
 //
@@ -21,6 +21,7 @@
 #include "lpvs/core/run_context.hpp"
 #include "lpvs/solver/ilp.hpp"
 #include "lpvs/survey/lba_curve.hpp"
+#include "dense_bnb.hpp"
 
 namespace lpvs::abr {
 namespace {
@@ -95,19 +96,15 @@ JointSlotProblem random_problem(common::Rng& rng) {
   return problem;
 }
 
-solver::BranchAndBoundSolver exact_solver(solver::LpEngine engine) {
+solver::BranchAndBoundSolver::Options exact_options() {
   solver::BranchAndBoundSolver::Options options;
   options.max_nodes = 500'000;
   options.relative_gap = 0.0;
-  options.engine = engine;
-  return solver::BranchAndBoundSolver(options);
+  return options;
 }
 
 TEST(AbrDifferential, JointSolvesAgreeAcrossEnginesAndExhaustive) {
-  const solver::BranchAndBoundSolver revised =
-      exact_solver(solver::LpEngine::kRevised);
-  const solver::BranchAndBoundSolver dense =
-      exact_solver(solver::LpEngine::kDense);
+  const solver::BranchAndBoundSolver revised(exact_options());
   const solver::ExhaustiveSolver exhaustive;
 
   long nonempty_instances = 0;
@@ -121,7 +118,8 @@ TEST(AbrDifferential, JointSolvesAgreeAcrossEnginesAndExhaustive) {
 
     const solver::IlpSolution truth = exhaustive.solve(joint.program);
     const solver::IlpSolution via_revised = revised.solve(joint.program);
-    const solver::IlpSolution via_dense = dense.solve(joint.program);
+    const solver::IlpSolution via_dense =
+        solver::oracle::solve_dense(joint.program, exact_options());
 
     ASSERT_EQ(via_revised.status, truth.status) << "trial seed " << seed;
     ASSERT_EQ(via_dense.status, truth.status) << "trial seed " << seed;
@@ -165,11 +163,7 @@ TEST(AbrDifferential, SchedulerObjectiveMatchesProgramOptimum) {
   // JointAbrScheduler at an exact budget must achieve the exhaustive
   // optimum of the very program it compiled — the end-to-end guarantee the
   // serving path inherits.
-  solver::BranchAndBoundSolver::Options options;
-  options.max_nodes = 500'000;
-  options.relative_gap = 0.0;
-  options.engine = solver::LpEngine::kRevised;
-  const JointAbrScheduler scheduler(options);
+  const JointAbrScheduler scheduler(exact_options());
   const solver::ExhaustiveSolver exhaustive;
 
   for (int trial = 0; trial < 120; ++trial) {

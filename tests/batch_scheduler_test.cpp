@@ -1,11 +1,13 @@
 // Tests for the sharded, warm-started batch solve pipeline: input-order
 // results, bit-identical schedules at any thread count, cache hit
-// classification, and fingerprint-keyed invalidation — plus the same
+// classification, fingerprint-keyed invalidation, warm-started Phase-1
+// values held against the dense oracle's optimum — plus the same
 // determinism guarantee surfaced end-to-end through the city replay and
 // the daily-life fleet mode.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "lpvs/common/rng.hpp"
@@ -13,6 +15,7 @@
 #include "lpvs/emu/daily_life.hpp"
 #include "lpvs/emu/replay.hpp"
 #include "lpvs/solver/solve_cache.hpp"
+#include "dense_bnb.hpp"
 
 namespace lpvs::core {
 namespace {
@@ -72,7 +75,7 @@ TEST(BatchScheduler, ResultsInInputOrderMatchDirectSolves) {
   const auto items = random_batch(5, 6);
   const LpvsScheduler scheduler;
   const RunContext context(anxiety());
-  BatchScheduler batch(BatchScheduler::Options{2, /*warm_start=*/false});
+  BatchScheduler batch(BatchScheduler::Options{2});
   const auto schedules = batch.schedule_batch(items, scheduler, context);
   ASSERT_EQ(schedules.size(), items.size());
   for (std::size_t c = 0; c < items.size(); ++c) {
@@ -89,7 +92,7 @@ TEST(BatchScheduler, ThreadCountProducesIdenticalSchedules) {
   // cold and the warm-started paths are covered.
   std::vector<std::vector<Schedule>> by_threads;
   for (const unsigned threads : {1u, 2u, 8u}) {
-    BatchScheduler batch(BatchScheduler::Options{threads, true});
+    BatchScheduler batch(BatchScheduler::Options{threads});
     std::vector<Schedule> all;
     for (const std::uint64_t seed : {21, 22, 23}) {
       auto schedules =
@@ -110,17 +113,15 @@ TEST(BatchScheduler, ThreadCountProducesIdenticalSchedules) {
 }
 
 TEST(BatchScheduler, RevisedEngineNodeAccountingIdenticalAcrossThreads) {
-  // The revised/dual-simplex engine's node accounting must be a pure
-  // function of the per-stream solve sequence — not of how many workers
-  // the batch was sharded across.  Drive three consecutive warm-started
-  // slot batches at 1, 2, and 8 threads and require bit-identical
-  // schedules AND identical ilp_nodes / degradation rungs / cache-lookup
-  // classifications (exact hits are fingerprint-gated, so equal hit counts
-  // certify equal budget fingerprints too).
-  LpvsScheduler::Options options =
-      scheduler_options_for(SlotProblemConfig{});  // revised engine default
-  ASSERT_EQ(options.ilp.engine, solver::LpEngine::kRevised);
-  const LpvsScheduler scheduler(options);
+  // The B&B's node accounting (revised/dual-simplex relaxations, basis
+  // memory across slots) must be a pure function of the per-stream solve
+  // sequence — not of how many workers the batch was sharded across.
+  // Drive three consecutive warm-started slot batches at 1, 2, and 8
+  // threads and require bit-identical schedules AND identical ilp_nodes /
+  // degradation rungs / cache-lookup classifications (exact hits are
+  // fingerprint-gated, so equal hit counts certify equal budget
+  // fingerprints too).
+  const LpvsScheduler scheduler;
   const RunContext context(anxiety());
 
   struct Observed {
@@ -129,7 +130,7 @@ TEST(BatchScheduler, RevisedEngineNodeAccountingIdenticalAcrossThreads) {
   };
   std::vector<Observed> by_threads;
   for (const unsigned threads : {1u, 2u, 8u}) {
-    BatchScheduler batch(BatchScheduler::Options{threads, true});
+    BatchScheduler batch(BatchScheduler::Options{threads});
     Observed obs;
     for (const std::uint64_t seed : {41, 42, 43}) {
       auto schedules =
@@ -160,28 +161,62 @@ TEST(BatchScheduler, RevisedEngineNodeAccountingIdenticalAcrossThreads) {
   }
 }
 
-TEST(SolveCacheFingerprint, BudgetFingerprintSeparatesEnginesStably) {
-  // Engine choice is part of the solve budget: a dense-solved entry must
-  // never exact-hit a revised lookup.  The dense fingerprint stays
-  // bit-stable with the engine field at its default (kDense mixes
-  // nothing), so pre-engine cache entries and checkpoints remain valid.
-  const auto dense = scheduler_ilp_defaults(solver::LpEngine::kDense);
-  const auto revised = scheduler_ilp_defaults(solver::LpEngine::kRevised);
-  const std::uint64_t dense_fp = solver::budget_fingerprint(dense);
-  const std::uint64_t revised_fp = solver::budget_fingerprint(revised);
-  EXPECT_NE(dense_fp, revised_fp);
-  EXPECT_EQ(dense_fp, solver::budget_fingerprint(dense));
-  EXPECT_EQ(revised_fp, solver::budget_fingerprint(revised));
+/// LpvsScheduler's Phase 1 alone, so a batch can be held against the
+/// Phase-1 optimum.
+class Phase1Only final : public Scheduler {
+ public:
+  std::string name() const override { return "phase1"; }
+  Schedule schedule(const SlotProblem& problem,
+                    const RunContext& context) const override {
+    return inner_.schedule_phase1_only(problem, context);
+  }
 
-  solver::BranchAndBoundSolver::Options no_engine_field = dense;
-  no_engine_field.engine = solver::LpEngine::kDense;
-  EXPECT_EQ(dense_fp, solver::budget_fingerprint(no_engine_field));
+ private:
+  LpvsScheduler inner_;
+};
+
+TEST(BatchScheduler, WarmStartedPhase1StaysWithinGapOfDenseOracle) {
+  // Three drifting slots through the batch cache: every Phase-1 value,
+  // cold in slot 0 and warm-started after (repaired incumbent plus root
+  // basis memory), must be feasible, never above the dense oracle's exact
+  // optimum of the same program, and within the scheduler's relative gap
+  // of it.
+  const Phase1Only scheduler;
+  const RunContext context(anxiety());
+  BatchScheduler batch(BatchScheduler::Options{1});
+  auto items = random_batch(51, 6);
+  const double gap = scheduler_ilp_defaults().relative_gap;
+  solver::BranchAndBoundSolver::Options exact;
+  exact.relative_gap = 0.0;
+  for (int slot = 0; slot < 3; ++slot) {
+    const auto schedules = batch.schedule_batch(items, scheduler, context);
+    ASSERT_EQ(schedules.size(), items.size());
+    for (std::size_t c = 0; c < items.size(); ++c) {
+      const solver::BinaryProgram program = phase1_program(items[c].problem);
+      const solver::IlpSolution optimum =
+          solver::oracle::solve_dense(program, exact);
+      ASSERT_TRUE(optimum.optimal()) << "slot " << slot << " cluster " << c;
+      ASSERT_TRUE(program.feasible(schedules[c].x))
+          << "slot " << slot << " cluster " << c;
+      const double value = program.value(schedules[c].x);
+      EXPECT_LE(value, optimum.objective + 1e-9)
+          << "slot " << slot << " cluster " << c;
+      EXPECT_GE(value, optimum.objective * (1.0 - gap) - 1e-9)
+          << "slot " << slot << " cluster " << c;
+    }
+    for (auto& item : items) {
+      for (auto& device : item.problem.devices) {
+        device.gamma = std::min(0.6, device.gamma + 0.003);
+      }
+    }
+  }
+  EXPECT_EQ(batch.cache().stats().warm_starts, 12);
 }
 
 TEST(BatchScheduler, CacheClassifiesColdExactAndWarmLookups) {
   const LpvsScheduler scheduler;
   const RunContext context(anxiety());
-  BatchScheduler batch(BatchScheduler::Options{1, true});
+  BatchScheduler batch(BatchScheduler::Options{1});
   const auto items = random_batch(9, 4);
 
   // First sight of every stream key: all cold.
@@ -218,7 +253,7 @@ TEST(BatchScheduler, CacheClassifiesColdExactAndWarmLookups) {
 TEST(BatchScheduler, SingleCoefficientChangeInvalidatesExactHit) {
   const LpvsScheduler scheduler;
   const RunContext context(anxiety());
-  BatchScheduler batch(BatchScheduler::Options{1, true});
+  BatchScheduler batch(BatchScheduler::Options{1});
   auto items = random_batch(13, 1);
   batch.schedule_batch(items, scheduler, context);
   batch.schedule_batch(items, scheduler, context);

@@ -158,7 +158,7 @@ TEST(FarmAdmission, AdmittedLoadRespectsCapacityAndIsEncoded) {
   const survey::AnxietyModel anxiety = survey::AnxietyModel::reference();
   const core::RunContext context(anxiety);
   const core::LpvsScheduler scheduler;
-  core::BatchScheduler batch(core::BatchScheduler::Options{1, true});
+  core::BatchScheduler batch(core::BatchScheduler::Options{1});
 
   const auto results = admit_and_encode(requests, scheduler, context, batch);
   ASSERT_EQ(results.size(), requests.size());
@@ -187,7 +187,7 @@ TEST(FarmAdmission, ResubmittedSlotExactHitsPerFarm) {
   const survey::AnxietyModel anxiety = survey::AnxietyModel::reference();
   const core::RunContext context(anxiety);
   const core::LpvsScheduler scheduler;
-  core::BatchScheduler batch(core::BatchScheduler::Options{1, true});
+  core::BatchScheduler batch(core::BatchScheduler::Options{1});
 
   const auto first = admit_and_encode(requests, scheduler, context, batch);
   const auto second = admit_and_encode(requests, scheduler, context, batch);
@@ -209,7 +209,7 @@ TEST(FarmAdmission, ThreadCountDoesNotChangeDecisions) {
   std::vector<std::vector<std::uint32_t>> admitted_by_threads;
   for (const unsigned threads : {1u, 2u, 8u}) {
     core::BatchScheduler batch(
-        core::BatchScheduler::Options{threads, true});
+        core::BatchScheduler::Options{threads});
     std::vector<std::uint32_t> admitted;
     // Two consecutive slots so the warm-start path is exercised too.
     for (const std::uint64_t seed : {10, 11}) {

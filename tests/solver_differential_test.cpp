@@ -5,7 +5,7 @@
 //
 //   1. B&B at relative_gap = 0 returns the exhaustive optimum on random
 //      instances — including degenerate ones (negative rhs, all-ineligible,
-//      zero objectives).
+//      zero objectives) — and so does the dense-LP oracle (tests/oracle).
 //   2. A warm-started solve returns the *bit-for-bit* same objective as a
 //      cold solve of the same problem: the incumbent may only prune.
 //   3. repair_assignment always emits a feasible, correctly sized
@@ -23,6 +23,7 @@
 #include "lpvs/core/scheduler.hpp"
 #include "lpvs/solver/ilp.hpp"
 #include "lpvs/solver/solve_cache.hpp"
+#include "dense_bnb.hpp"
 
 namespace lpvs::solver {
 namespace {
@@ -88,11 +89,15 @@ BinaryProgram perturb(const BinaryProgram& base, common::Rng& rng) {
   return next;
 }
 
-BranchAndBoundSolver exact_solver() {
+BranchAndBoundSolver::Options exact_options() {
   BranchAndBoundSolver::Options options;
   options.max_nodes = 500'000;
   options.relative_gap = 0.0;
-  return BranchAndBoundSolver(options);
+  return options;
+}
+
+BranchAndBoundSolver exact_solver() {
+  return BranchAndBoundSolver(exact_options());
 }
 
 TEST(SolverDifferential, BranchAndBoundMatchesExhaustiveOptimum) {
@@ -103,10 +108,14 @@ TEST(SolverDifferential, BranchAndBoundMatchesExhaustiveOptimum) {
     const BinaryProgram problem = random_program(rng);
     const IlpSolution truth = exhaustive.solve(problem);
     const IlpSolution got = bnb.solve(problem);
+    const IlpSolution dense = oracle::solve_dense(problem, exact_options());
     ASSERT_EQ(got.status, truth.status) << "trial seed " << 1000 + trial;
+    ASSERT_EQ(dense.status, truth.status) << "trial seed " << 1000 + trial;
     if (truth.status != IlpStatus::kOptimal) continue;
     // Ties may resolve to different assignments; the value may not differ.
     ASSERT_NEAR(got.objective, truth.objective, 1e-9)
+        << "trial seed " << 1000 + trial;
+    ASSERT_NEAR(dense.objective, truth.objective, 1e-9)
         << "trial seed " << 1000 + trial;
     ASSERT_TRUE(problem.feasible(got.x)) << "trial seed " << 1000 + trial;
     ASSERT_NEAR(problem.value(got.x), got.objective, 1e-9)

@@ -1,8 +1,8 @@
 // Property-based harness for the revised/dual-simplex engine and the
 // presolved best-first branch-and-bound built on it.
 //
-// The revised engine replaced the dense simplex on the serving hot path
-// (scheduler_ilp_defaults), so it carries the correctness burden of every
+// The revised engine is the one relaxation BranchAndBoundSolver runs, so
+// it carries the correctness burden of every
 // slot schedule.  This suite pins it from four directions:
 //
 //   1. LP differential: on seeded random LP families — degenerate
@@ -11,9 +11,10 @@
 //      (infinite uppers) — the revised engine's verdict matches the dense
 //      simplex wherever the dense simplex is defined, and is provably
 //      right where it is not (rhs < 0).
-//   2. ILP differential: presolve + best-first B&B under the revised
-//      engine equals ExhaustiveSolver on random binary programs, and the
-//      two B&B engines agree with each other.
+//   2. ILP differential: presolve + best-first B&B over the revised
+//      engine equals ExhaustiveSolver on random binary programs, and
+//      agrees with the dense-LP depth-first oracle (tests/oracle) there
+//      and on a 200-item knapsack too large to enumerate.
 //   3. Metamorphic basis reuse: perturb ONE coefficient of a solved LP and
 //      re-solve warm from the old basis — the objective must match a cold
 //      solve of the perturbed problem.
@@ -37,6 +38,7 @@
 #include "lpvs/solver/lp.hpp"
 #include "lpvs/solver/presolve.hpp"
 #include "lpvs/solver/revised_lp.hpp"
+#include "dense_bnb.hpp"
 
 namespace lpvs::solver {
 namespace {
@@ -250,16 +252,19 @@ BinaryProgram random_program(common::Rng& rng) {
   return problem;
 }
 
-BranchAndBoundSolver exact_solver(LpEngine engine) {
+BranchAndBoundSolver::Options exact_options() {
   BranchAndBoundSolver::Options options;
   options.max_nodes = 500'000;
   options.relative_gap = 0.0;
-  options.engine = engine;
-  return BranchAndBoundSolver(options);
+  return options;
+}
+
+BranchAndBoundSolver exact_solver() {
+  return BranchAndBoundSolver(exact_options());
 }
 
 TEST(SolverProperty, RevisedBnbMatchesExhaustive) {
-  const BranchAndBoundSolver bnb = exact_solver(LpEngine::kRevised);
+  const BranchAndBoundSolver bnb = exact_solver();
   const ExhaustiveSolver exhaustive;
   for (int trial = 0; trial < kIlpTrials; ++trial) {
     common::Rng rng(15000 + static_cast<std::uint64_t>(trial));
@@ -277,12 +282,11 @@ TEST(SolverProperty, RevisedBnbMatchesExhaustive) {
 }
 
 TEST(SolverProperty, EnginesAgreeAndPresolveIsLossless) {
-  const BranchAndBoundSolver dense = exact_solver(LpEngine::kDense);
-  const BranchAndBoundSolver revised = exact_solver(LpEngine::kRevised);
+  const BranchAndBoundSolver revised = exact_solver();
   for (int trial = 0; trial < kIlpTrials; ++trial) {
     common::Rng rng(16000 + static_cast<std::uint64_t>(trial));
     const BinaryProgram problem = random_program(rng);
-    const IlpSolution a = dense.solve(problem);
+    const IlpSolution a = oracle::solve_dense(problem, exact_options());
     const IlpSolution b = revised.solve(problem);
     ASSERT_EQ(a.status, b.status) << "trial seed " << 16000 + trial;
     if (a.status != IlpStatus::kOptimal) continue;
@@ -295,7 +299,8 @@ TEST(SolverProperty, EnginesAgreeAndPresolveIsLossless) {
         presolve_binary_program(problem, /*tol=*/1e-7);
     ASSERT_FALSE(pre.malformed) << "trial seed " << 16000 + trial;
     if (pre.infeasible) continue;
-    const IlpSolution reduced_opt = dense.solve(pre.reduced);
+    const IlpSolution reduced_opt =
+        oracle::solve_dense(pre.reduced, exact_options());
     if (reduced_opt.status != IlpStatus::kOptimal) continue;
     const std::vector<int> expanded =
         expand_solution(pre, reduced_opt.x);
@@ -306,11 +311,54 @@ TEST(SolverProperty, EnginesAgreeAndPresolveIsLossless) {
   }
 }
 
+TEST(SolverProperty, GapSolveAtScaleStaysWithinGapOfOracleOptimum) {
+  // A 200-item single-row knapsack, beyond the exhaustive enumerator's
+  // reach: the scheduler-style solve (500 nodes, 1e-4 relative gap) must
+  // land within its gap of the dense oracle's exact optimum, even when the
+  // node budget stops it before it can prove so; the exact solves of both
+  // B&Bs must agree, and nothing may exceed the LP bound.
+  common::Rng rng(9);
+  const std::size_t n = 200;
+  BinaryProgram problem;
+  problem.objective.resize(n);
+  problem.rows.assign(1, std::vector<double>(n));
+  double total = 0.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    problem.objective[j] = rng.uniform(1.0, 50.0);
+    problem.rows[0][j] = rng.uniform(0.3, 1.0);
+    total += problem.rows[0][j];
+  }
+  problem.rhs = {0.4 * total};
+
+  LpProblem relaxation;
+  relaxation.objective = problem.objective;
+  relaxation.rows = problem.rows;
+  relaxation.rhs = problem.rhs;
+  relaxation.upper.assign(n, 1.0);
+  const LpSolution lp = LpSolver().solve(relaxation);
+  ASSERT_TRUE(lp.optimal());
+
+  const IlpSolution exact = oracle::solve_dense(problem, exact_options());
+  ASSERT_TRUE(exact.optimal());
+  EXPECT_LE(exact.objective, lp.objective + 1e-9 * lp.objective);
+  EXPECT_NEAR(exact_solver().solve(problem).objective, exact.objective,
+              1e-9 * exact.objective);
+
+  BranchAndBoundSolver::Options gap_options;
+  gap_options.max_nodes = 500;
+  gap_options.relative_gap = 1e-4;
+  const IlpSolution gap = BranchAndBoundSolver(gap_options).solve(problem);
+  ASSERT_TRUE(to_status(gap.status).ok()) << to_string(gap.status);
+  ASSERT_TRUE(problem.feasible(gap.x));
+  EXPECT_LE(gap.objective, exact.objective + 1e-9 * exact.objective);
+  EXPECT_GE(gap.objective, exact.objective * (1.0 - 1e-4));
+}
+
 TEST(SolverProperty, IncumbentNeverChangesRevisedVerdictOrObjective) {
   // solve(p) vs solve(p, incumbent): for incumbents optimal, stale, and
   // adversarial, the status and the achieved objective must be identical —
   // the incumbent may only change pruning.
-  const BranchAndBoundSolver bnb = exact_solver(LpEngine::kRevised);
+  const BranchAndBoundSolver bnb = exact_solver();
   for (int trial = 0; trial < kIlpTrials; ++trial) {
     common::Rng rng(17000 + static_cast<std::uint64_t>(trial));
     const BinaryProgram problem = random_program(rng);
@@ -341,7 +389,7 @@ TEST(SolverProperty, BasisMemoryChangesPivotsNeverResults) {
   // solve against a memoryless one.  Objectives and statuses must be
   // bit-identical; node counts may differ (the memory steers the pivot
   // path) but must be reproducible run over run.
-  const BranchAndBoundSolver bnb = exact_solver(LpEngine::kRevised);
+  const BranchAndBoundSolver bnb = exact_solver();
   for (int trial = 0; trial < 50; ++trial) {
     common::Rng rng(18000 + static_cast<std::uint64_t>(trial));
     BinaryProgram problem = random_program(rng);

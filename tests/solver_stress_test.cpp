@@ -8,8 +8,8 @@
 
 #include "lpvs/common/rng.hpp"
 #include "lpvs/solver/ilp.hpp"
-#include "lpvs/solver/knapsack.hpp"
 #include "lpvs/solver/lp.hpp"
+#include "dense_bnb.hpp"
 
 namespace lpvs::solver {
 namespace {
@@ -161,21 +161,18 @@ TEST(BnbStress, TruncatedBudgetStillReportsInfeasible) {
   p.objective = {5.0, 3.0, 8.0};
   p.rows = {{1.0, 1.0, 1.0}, {2.0, 0.5, 1.0}};
   p.rhs = {4.0, -1.0};
-  for (const LpEngine engine : {LpEngine::kDense, LpEngine::kRevised}) {
-    BranchAndBoundSolver::Options options;
-    options.engine = engine;
-    options.max_nodes = 1;
-    const BranchAndBoundSolver bnb(options);
-    const IlpSolution cold = bnb.solve(p);
-    EXPECT_EQ(cold.status, IlpStatus::kInfeasible)
-        << "engine " << to_string(engine);
-    // A (necessarily bogus) warm incumbent must not smuggle in a feasible
-    // verdict either: the incumbent is infeasible by construction, so the
-    // solver must reject it and reach the same conclusion.
-    const IlpSolution warm = bnb.solve(p, std::vector<int>{1, 1, 1});
-    EXPECT_EQ(warm.status, IlpStatus::kInfeasible)
-        << "engine " << to_string(engine);
-  }
+  BranchAndBoundSolver::Options options;
+  options.max_nodes = 1;
+  const BranchAndBoundSolver bnb(options);
+  EXPECT_EQ(bnb.solve(p).status, IlpStatus::kInfeasible);
+  EXPECT_EQ(oracle::solve_dense(p, options).status, IlpStatus::kInfeasible);
+  // A (necessarily bogus) warm incumbent must not smuggle in a feasible
+  // verdict either: the incumbent is infeasible by construction, so the
+  // solver must reject it and reach the same conclusion.
+  const std::vector<int> bogus{1, 1, 1};
+  EXPECT_EQ(bnb.solve(p, bogus).status, IlpStatus::kInfeasible);
+  EXPECT_EQ(oracle::solve_dense(p, options, &bogus).status,
+            IlpStatus::kInfeasible);
 }
 
 TEST(BnbStress, TruncatedBudgetInfeasibleAcrossRandomInstances) {
@@ -194,47 +191,30 @@ TEST(BnbStress, TruncatedBudgetInfeasibleAcrossRandomInstances) {
     }
     p.rhs = {rng.uniform(0.0, 20.0), rng.uniform(-10.0, -0.01)};
     const long budget = static_cast<long>(rng.uniform_int(1, 64));
-    for (const LpEngine engine : {LpEngine::kDense, LpEngine::kRevised}) {
-      BranchAndBoundSolver::Options options;
-      options.engine = engine;
-      options.max_nodes = budget;
-      const IlpSolution s = BranchAndBoundSolver(options).solve(p);
-      ASSERT_EQ(s.status, IlpStatus::kInfeasible)
-          << "trial seed " << 21000 + trial << " engine "
-          << to_string(engine) << " budget " << budget;
-    }
+    BranchAndBoundSolver::Options options;
+    options.max_nodes = budget;
+    ASSERT_EQ(BranchAndBoundSolver(options).solve(p).status,
+              IlpStatus::kInfeasible)
+        << "trial seed " << 21000 + trial << " budget " << budget;
+    ASSERT_EQ(oracle::solve_dense(p, options).status, IlpStatus::kInfeasible)
+        << "trial seed " << 21000 + trial << " oracle, budget " << budget;
   }
 }
 
-TEST(KnapsackStress, ManyZeroWeightItems) {
+TEST(BnbStress, ManyZeroWeightItemsAllTaken) {
+  // Fifty zero-weight items against one row: all of them fit.
   const std::size_t n = 50;
   BinaryProgram p;
   p.objective.assign(n, 1.0);
   p.rows.assign(1, std::vector<double>(n, 0.0));
   p.rhs = {1.0};
-  const IlpSolution s = KnapsackDpSolver().solve(p);
+  const IlpSolution s = BranchAndBoundSolver().solve(p);
   ASSERT_TRUE(s.optimal());
-  EXPECT_DOUBLE_EQ(s.objective, 50.0);  // all free items taken
-}
-
-TEST(KnapsackStress, TinyResolutionStaysFeasible) {
-  common::Rng rng(1);
-  KnapsackDpSolver::Options options;
-  options.resolution = 3;  // absurdly coarse
-  const KnapsackDpSolver solver(options);
-  for (int trial = 0; trial < 20; ++trial) {
-    BinaryProgram p;
-    const std::size_t n = 10;
-    p.objective.resize(n);
-    p.rows.assign(1, std::vector<double>(n));
-    for (std::size_t j = 0; j < n; ++j) {
-      p.objective[j] = rng.uniform(1.0, 5.0);
-      p.rows[0][j] = rng.uniform(0.1, 2.0);
-    }
-    p.rhs = {4.0};
-    const IlpSolution s = solver.solve(p);
-    EXPECT_TRUE(p.feasible(s.x)) << trial;
-  }
+  EXPECT_DOUBLE_EQ(s.objective, 50.0);
+  const IlpSolution dense =
+      oracle::solve_dense(p, BranchAndBoundSolver::Options{});
+  ASSERT_TRUE(dense.optimal());
+  EXPECT_DOUBLE_EQ(dense.objective, 50.0);
 }
 
 TEST(GreedyStress, ZeroCapacityRow) {
